@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race vet lint fuzz-seed check bench-smoke clean
+.PHONY: all build test race vet fmt lint fuzz-seed check bench-smoke clean
 
 all: build
 
@@ -23,6 +23,10 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Fails when any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 $(BIN)/spinlint: $(wildcard cmd/spinlint/*.go internal/lint/*.go)
 	$(GO) build -o $(BIN)/spinlint ./cmd/spinlint
 
@@ -38,9 +42,10 @@ lint: $(BIN)/spinlint
 fuzz-seed:
 	$(GO) test -run '^Fuzz' ./internal/parser
 
-# The full gate CI runs: standard vet, spinlint, build, tests, the fuzz
-# seed corpus, and the race-enabled pass over the concurrent packages.
-check: vet lint build test fuzz-seed race
+# The full gate CI runs: gofmt, standard vet, spinlint, build, tests,
+# the fuzz seed corpus, and the race-enabled pass over the concurrent
+# packages.
+check: fmt vet lint build test fuzz-seed race
 
 # bench-smoke runs the full-vs-delta, full-vs-pruned and
 # sequential-vs-scheduled comparisons on small PR-VS and SSSP datasets:

@@ -328,7 +328,9 @@ type Stats struct {
 	MaterializedCells int64
 	ResultCellsRead   int64
 
-	// Executor counters.
+	// Executor counters. RowsScanned counts a loop-invariant join
+	// input once per query, when its hash build is made: later
+	// iterations reuse the build without rescanning it.
 	RowsScanned  int64
 	RowsJoined   int64
 	RowsGrouped  int64

@@ -236,6 +236,10 @@ type Context struct {
 	Faults *faultinject.Registry
 	// created tracks intermediate results to drop when the query ends.
 	created map[string]bool
+	// builds is the run's cache of hash-join builds over loop-invariant
+	// inputs (RT carries it to the executor); nil when the program has
+	// none.
+	builds *exec.BuildCache
 	// degrade is the graceful-degradation rung the retry driver has
 	// descended to; retries and degradations count what the run cost
 	// (folded into Stats when RunContext returns, so checkpoint
@@ -461,6 +465,10 @@ func (p *Program) Run(rt *exec.StoreRuntime, stats *Stats) ([]sqltypes.Row, erro
 	return p.RunContext(context.Background(), rt, stats)
 }
 
+// buildCacheOn is a test seam: the cache-parity tests turn it off to run
+// the same program without a build cache and compare.
+var buildCacheOn = true
+
 // RunContext executes the program under goctx: every step boundary,
 // scheduler region, MPP partition batch and executor inner loop polls
 // the context, and a fired cancellation or deadline surfaces as a
@@ -491,6 +499,15 @@ func (p *Program) RunContext(goctx context.Context, rt *exec.StoreRuntime, stats
 		}
 	}
 	ctx := &Context{RT: rt, Stats: stats, Ctx: goctx, Faults: faultinject.NewRegistry(p.FaultSchedule)}
+	if buildCacheOn {
+		// The run's hash-join build cache lives exactly as long as this
+		// call: the steps see it through a runtime copy, the caller's
+		// runtime never does, and the deferred Reset drops it on every
+		// exit path. Qf runs on rt, once, so it never consults it.
+		ctx.builds = p.newBuildCache()
+		ctx.RT = rt.WithBuildCache(ctx.builds)
+		defer ctx.builds.Reset()
+	}
 	defer func() {
 		stats.Retries = ctx.retries
 		stats.Degradations = ctx.degradations

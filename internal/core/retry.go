@@ -150,8 +150,12 @@ func (p *Program) capture(ctx *Context, pc int) *checkpoint {
 // the capture are dropped, every captured slot is re-bound to a fresh
 // clone (Rename mutates Table.Name in place, so the checkpoint's own
 // clone must never be handed to the store), loop operators and stats
-// roll back, and the trace discards the abandoned attempt's spans.
+// roll back, the hash-join build cache empties, and the trace discards
+// the abandoned attempt's spans.
 func (p *Program) restore(ctx *Context, cp *checkpoint) {
+	// Restored slots are fresh clones, so builds over the old tables
+	// could never hit again; drop them rather than hold their memory.
+	ctx.builds.Reset()
 	for name := range ctx.created {
 		if _, tracked := cp.tables[name]; !tracked {
 			ctx.RT.Results.Drop(name)

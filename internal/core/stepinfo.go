@@ -16,6 +16,8 @@ import (
 
 	"dbspinner/internal/ast"
 	"dbspinner/internal/effects"
+	"dbspinner/internal/exec"
+	"dbspinner/internal/plan"
 	"dbspinner/internal/storage"
 )
 
@@ -42,10 +44,11 @@ func (l *loopSlots) slot(ls *LoopState) string {
 	return id
 }
 
-// stepInfo is one registry entry: the step's effect set plus the jump
-// target for loop steps (-1 otherwise).
+// stepInfo is one registry entry: the step's effect set, the plans it
+// executes, and the jump target for loop steps (-1 otherwise).
 type stepInfo struct {
 	Effects       effects.Set
+	Plans         []plan.Node
 	LoopBodyStart int
 }
 
@@ -57,6 +60,7 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 	e := &info.Effects
 	switch t := s.(type) {
 	case *MaterializeStep:
+		info.Plans = []plan.Node{t.Plan}
 		e.Reads = planResultNames(t.Plan)
 		e.Writes = []string{t.Into}
 
@@ -65,6 +69,7 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 		// reads the CTE table directly, consumes the delta the previous
 		// merge produced, and transiently binds and drops DeltaIn. The
 		// loop state carries the changed-key set it restricts by.
+		info.Plans = []plan.Node{t.Full, t.Restricted}
 		e.Reads = append(planResultNames(t.Full), planResultNames(t.Restricted)...)
 		e.Reads = append(e.Reads, t.CTE, t.Delta)
 		e.Writes = []string{t.Into, t.DeltaIn}
@@ -77,6 +82,7 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 		// the CTE snapshot it was computed from (Snap) are read to diff
 		// and splice, then rewritten for the next iteration; AggIn is
 		// transiently bound and dropped around the restricted plan.
+		info.Plans = []plan.Node{t.Full, t.Restricted}
 		e.Reads = append(planResultNames(t.Full), planResultNames(t.Restricted)...)
 		e.Reads = append(e.Reads, t.CTE, t.Acc, t.Snap)
 		e.Writes = []string{t.Into, t.AggIn, t.Acc, t.Snap}
@@ -137,6 +143,7 @@ func infoFor(s Step, loops *loopSlots) (stepInfo, bool) {
 			// Delta termination re-snapshots the CTE into the loop state.
 			e.LoopWrites = []string{slot}
 			if t.Loop.CondPlan != nil {
+				info.Plans = []plan.Node{t.Loop.CondPlan}
 				e.Reads = append(e.Reads, planResultNames(t.Loop.CondPlan)...)
 			}
 			if t.Loop.Term.Type == ast.TermDelta {
@@ -218,4 +225,74 @@ func (p *Program) deriveCheckpoints(sets []effects.Set) {
 		spec.LoopSlots = loopOrder
 		p.Checkpoints = append(p.Checkpoints, spec)
 	}
+}
+
+// newBuildCache returns an empty hash-join build cache over the
+// program's loop-invariant inputs, or nil when it has none.
+func (p *Program) newBuildCache() *exec.BuildCache {
+	bases, results := p.loopInvariantInputs()
+	if len(bases)+len(results) == 0 {
+		return nil
+	}
+	return exec.NewBuildCache(bases, results)
+}
+
+// loopInvariantInputs derives which join inputs a run may keep hash
+// builds for across iterations (exec.BuildCache). An input qualifies
+// when a step inside a loop body scans it and it is loop-invariant:
+// every base table (program steps never write base tables), and every
+// result slot no loop-body step writes or frees — the Common#k blocks
+// materialized before the loop header. Inputs only pre-loop steps or
+// Qf read are left out: their builds would run once and only hold
+// memory. A program the registry cannot describe gets none. Names
+// repeat once per scan.
+func (p *Program) loopInvariantInputs() (bases, results []string) {
+	loops := newLoopSlots()
+	infos := make([]stepInfo, len(p.Steps))
+	inBody := make([]bool, len(p.Steps))
+	for i, s := range p.Steps {
+		info, ok := infoFor(s, loops)
+		if !ok {
+			return nil, nil
+		}
+		infos[i] = info
+		if info.LoopBodyStart >= 0 {
+			for pc := info.LoopBodyStart; pc <= i; pc++ {
+				inBody[pc] = true
+			}
+		}
+	}
+	rebound := map[string]bool{}
+	for i, info := range infos {
+		if !inBody[i] {
+			continue
+		}
+		for _, names := range [][]string{info.Effects.Writes, info.Effects.Frees} {
+			for _, n := range names {
+				rebound[storage.NormalizeName(n)] = true
+			}
+		}
+	}
+	var walk func(plan.Node)
+	walk = func(n plan.Node) {
+		switch t := n.(type) {
+		case *plan.Scan:
+			bases = append(bases, t.Table)
+		case *plan.NamedResult:
+			if !rebound[storage.NormalizeName(t.Name)] {
+				results = append(results, t.Name)
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	for i, info := range infos {
+		if inBody[i] {
+			for _, pl := range info.Plans {
+				walk(pl)
+			}
+		}
+	}
+	return bases, results
 }

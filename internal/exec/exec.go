@@ -27,7 +27,11 @@ type Runtime interface {
 // Stats accumulates execution counters, used by the benchmarks and the
 // data-movement experiments.
 type Stats struct {
-	RowsScanned int64 // rows read from base tables and results
+	// RowsScanned counts rows read from base tables and results. A
+	// hash join whose build comes from a BuildCache does not rescan
+	// its build input, so those rows are counted once per run, when
+	// the build is made, not once per execution of the join.
+	RowsScanned int64
 	RowsJoined  int64 // rows emitted by joins
 	RowsGrouped int64 // groups emitted by aggregates
 	// RowsAggInput counts rows fed INTO aggregate operators — the
@@ -38,7 +42,9 @@ type Stats struct {
 	// ResultCellsRead counts cells (row length per row) read from
 	// materialized intermediate results — the read-side half of the
 	// column-pruning experiment's data-movement metric (the write side
-	// is core.Stats.MaterializedCells).
+	// is core.Stats.MaterializedCells). It measures the width of the
+	// data plans consume, so a join served from a BuildCache counts
+	// its build's cells on every execution, as a rescan would.
 	ResultCellsRead int64
 }
 
@@ -55,6 +61,11 @@ func Drain(op Operator) ([]sqltypes.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
+	return drainOpen(op)
+}
+
+// drainOpen drains an already opened operator and closes it.
+func drainOpen(op Operator) ([]sqltypes.Row, error) {
 	defer op.Close()
 	var out []sqltypes.Row
 	for {
@@ -266,19 +277,26 @@ type scanOp struct {
 }
 
 func (s *scanOp) Open() error {
-	var t *storage.Table
-	var err error
-	if s.base {
-		t, err = s.rt.BaseTable(s.name)
-	} else {
-		t, err = s.rt.Result(s.name)
-	}
+	t, err := s.table()
 	if err != nil {
 		return err
 	}
+	s.openOn(t)
+	return nil
+}
+
+// table resolves the scanned base table or result.
+func (s *scanOp) table() (*storage.Table, error) {
+	if s.base {
+		return s.rt.BaseTable(s.name)
+	}
+	return s.rt.Result(s.name)
+}
+
+// openOn positions the scan at the start of t.
+func (s *scanOp) openOn(t *storage.Table) {
 	s.parts = append(s.parts[:0], t.Parts...)
 	s.pi, s.pos = 0, 0
-	return nil
 }
 
 func (s *scanOp) Next() (sqltypes.Row, error) {

@@ -43,7 +43,7 @@ func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker) (Opera
 			typ: t.Type, left: left, right: right,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			residual: residual, leftWidth: lw, rightWidth: rw,
-			stats: stats, cancel: cc,
+			stats: stats, cancel: cc, cache: buildCacheOf(rt),
 		}, nil
 	}
 	return nil, fmt.Errorf("unsupported join type %v", t.Type)
@@ -84,21 +84,85 @@ type hashJoinOp struct {
 	leftWidth, rightWidth int
 	stats                 *Stats
 	cancel                *CancelChecker
+	// cache, when set, keeps the build across executions of the plan:
+	// the build side is a bare scan of an input the cache names
+	// loop-invariant (see BuildCache).
+	cache *BuildCache
 
-	build            map[sqltypes.CompositeKey][]*buildRow
-	buildRows        []*buildRow // insertion order, for full-outer leftovers
+	build            *hashBuild
+	matched          []bool // full outer: build rows some probe row matched
 	probe            Operator
 	probeRow         sqltypes.Row
-	matches          []*buildRow
+	matches          []int32 // build row positions of the current probe key
 	matchIdx         int
 	emittedForProbe  bool
 	leftoverIdx      int
 	drainingLeftover bool
 }
 
-type buildRow struct {
-	row     sqltypes.Row
-	matched bool
+// hashBuild is the build side of a hash join in a compact, immutable
+// layout: the rows in scan order, one group per distinct non-NULL key,
+// and a CSR index listing each group's row positions in scan order
+// (group g owns pos[start[g]:start[g+1]]). Rows with a NULL key belong
+// to no group — NULL never matches — but stay in rows for full-outer
+// leftovers. Nothing in it is per-operator state, so one build can
+// serve every join that probes the same input.
+type hashBuild struct {
+	rows  []sqltypes.Row
+	group map[sqltypes.CompositeKey]int32
+	start []int32
+	pos   []int32
+	// cells is the total row length of a cached build over a result,
+	// which every hit adds to Stats.ResultCellsRead.
+	cells int64
+}
+
+// newHashBuild indexes rows by the given key expressions.
+func newHashBuild(rows []sqltypes.Row, keys []*expr.Compiled) (*hashBuild, error) {
+	b := &hashBuild{rows: rows, group: make(map[sqltypes.CompositeKey]int32)}
+	gid := make([]int32, len(rows))
+	var count []int32
+	for i, r := range rows {
+		key, null, err := evalKey(keys, r)
+		if err != nil {
+			return nil, err
+		}
+		if null {
+			gid[i] = -1
+			continue
+		}
+		g, ok := b.group[key]
+		if !ok {
+			g = int32(len(count))
+			b.group[key] = g
+			count = append(count, 0)
+		}
+		count[g]++
+		gid[i] = g
+	}
+	b.start = make([]int32, len(count)+1)
+	for g, c := range count {
+		b.start[g+1] = b.start[g] + c
+	}
+	b.pos = make([]int32, b.start[len(count)])
+	next := count // reused as each group's fill cursor
+	copy(next, b.start)
+	for i, g := range gid {
+		if g >= 0 {
+			b.pos[next[g]] = int32(i)
+			next[g]++
+		}
+	}
+	return b, nil
+}
+
+// lookup returns the positions of the build rows whose key equals key.
+func (b *hashBuild) lookup(key sqltypes.CompositeKey) []int32 {
+	g, ok := b.group[key]
+	if !ok {
+		return nil
+	}
+	return b.pos[b.start[g]:b.start[g+1]]
 }
 
 // buildIsLeft reports whether the left input is the build side.
@@ -114,24 +178,13 @@ func (h *hashJoinOp) Open() error {
 		buildOp, buildKeys = h.right, h.rightKeys
 		h.probe = h.left
 	}
-
-	rows, err := Drain(buildOp)
+	b, err := h.cache.build(buildOp, buildKeys)
 	if err != nil {
 		return err
 	}
-	h.build = make(map[sqltypes.CompositeKey][]*buildRow, len(rows))
-	h.buildRows = h.buildRows[:0]
-	for _, r := range rows {
-		key, null, err := evalKey(buildKeys, r)
-		if err != nil {
-			return err
-		}
-		br := &buildRow{row: r}
-		h.buildRows = append(h.buildRows, br)
-		if null {
-			continue // NULL keys never match
-		}
-		h.build[key] = append(h.build[key], br)
+	h.build = b
+	if h.typ == ast.FullJoin {
+		h.matched = make([]bool, len(b.rows))
 	}
 	h.probeRow = nil
 	h.matches = nil
@@ -141,23 +194,34 @@ func (h *hashJoinOp) Open() error {
 	return h.probe.Open()
 }
 
+// evalKey evaluates join key expressions over a row, reporting whether
+// any component was NULL. Keys of up to three columns are evaluated
+// into a fixed array and bare column references read straight off the
+// row, so the common case allocates nothing.
 func evalKey(keys []*expr.Compiled, r sqltypes.Row) (sqltypes.CompositeKey, bool, error) {
-	vals := make(sqltypes.Row, len(keys))
+	var buf [3]sqltypes.Value
+	var vals sqltypes.Row
+	if len(keys) <= len(buf) {
+		vals = buf[:len(keys)]
+	} else {
+		vals = make(sqltypes.Row, len(keys))
+	}
 	for i, k := range keys {
-		v, err := k.Eval(r)
-		if err != nil {
-			return sqltypes.CompositeKey{}, false, err
+		var v sqltypes.Value
+		if c, ok := k.Column(); ok && c < len(r) {
+			v = r[c]
+		} else {
+			var err error
+			if v, err = k.Eval(r); err != nil {
+				return sqltypes.CompositeKey{}, false, err
+			}
 		}
 		if v.IsNull() {
 			return sqltypes.CompositeKey{}, true, nil
 		}
 		vals[i] = v
 	}
-	cols := make([]int, len(vals))
-	for i := range cols {
-		cols[i] = i
-	}
-	return sqltypes.RowKey(vals, cols), false, nil
+	return sqltypes.ValuesKey(vals), false, nil
 }
 
 // combined builds the output row in left-then-right column order.
@@ -191,14 +255,14 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 	for {
 		if h.drainingLeftover {
 			// Full-outer: emit unmatched build rows null-extended.
-			for h.leftoverIdx < len(h.buildRows) {
-				br := h.buildRows[h.leftoverIdx]
+			for h.leftoverIdx < len(h.build.rows) {
+				i := h.leftoverIdx
 				h.leftoverIdx++
-				if br.matched {
+				if h.matched[i] {
 					continue
 				}
 				h.stats.RowsJoined++
-				return h.nullExtendBuild(br.row), nil
+				return h.nullExtendBuild(h.build.rows[i]), nil
 			}
 			return nil, nil
 		}
@@ -208,9 +272,9 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 			if err := h.cancel.Tick(); err != nil {
 				return nil, err
 			}
-			br := h.matches[h.matchIdx]
+			i := h.matches[h.matchIdx]
 			h.matchIdx++
-			out := h.combined(h.probeRow, br.row)
+			out := h.combined(h.probeRow, h.build.rows[i])
 			if h.residual != nil {
 				v, err := h.residual.Eval(out)
 				if err != nil {
@@ -220,7 +284,9 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 					continue
 				}
 			}
-			br.matched = true
+			if h.matched != nil {
+				h.matched[i] = true
+			}
 			h.emittedForProbe = true
 			h.stats.RowsJoined++
 			return out, nil
@@ -249,11 +315,9 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 		}
 		h.probeRow = r
 		h.emittedForProbe = false
-		var probeKeys []*expr.Compiled
+		probeKeys := h.leftKeys
 		if h.buildIsLeft() {
 			probeKeys = h.rightKeys
-		} else {
-			probeKeys = h.leftKeys
 		}
 		key, null, err := evalKey(probeKeys, r)
 		if err != nil {
@@ -262,7 +326,7 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 		if null {
 			h.matches = nil
 		} else {
-			h.matches = h.build[key]
+			h.matches = h.build.lookup(key)
 		}
 		h.matchIdx = 0
 	}
@@ -284,7 +348,7 @@ func (h *hashJoinOp) nullExtendBuild(build sqltypes.Row) sqltypes.Row {
 
 func (h *hashJoinOp) Close() error {
 	h.build = nil
-	h.buildRows = nil
+	h.matched = nil
 	h.matches = nil
 	return h.probe.Close()
 }

@@ -16,6 +16,10 @@ import (
 type StoreRuntime struct {
 	Catalog *catalog.Catalog
 	Results *storage.ResultStore
+
+	// builds, when set, keeps hash-join builds over loop-invariant
+	// inputs across the executions of one program run.
+	builds *BuildCache
 }
 
 // NewStoreRuntime wraps a catalog and result store.
@@ -28,7 +32,22 @@ func NewStoreRuntime(cat *catalog.Catalog, res *storage.ResultStore) *StoreRunti
 // scheduler's dynamic cross-check). The catalog is shared as-is: base
 // tables are read-only during program execution.
 func (s *StoreRuntime) Guarded(g *storage.Guard) *StoreRuntime {
-	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results.Guarded(g)}
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results.Guarded(g), builds: s.builds}
+}
+
+// WithBuildCache returns a view of the runtime whose hash joins keep
+// builds in c (nil: no cache). A program run makes one for its own
+// lifetime; the runtime it was called with is left untouched.
+func (s *StoreRuntime) WithBuildCache(c *BuildCache) *StoreRuntime {
+	return &StoreRuntime{Catalog: s.Catalog, Results: s.Results, builds: c}
+}
+
+// buildCacheOf returns the build cache rt carries, nil when none.
+func buildCacheOf(rt Runtime) *BuildCache {
+	if s, ok := rt.(*StoreRuntime); ok {
+		return s.builds
+	}
+	return nil
 }
 
 // ArmFaults arms (or, with nil, disarms) fault injection on the result

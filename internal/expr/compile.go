@@ -88,7 +88,17 @@ type Compiled struct {
 	Eval func(row sqltypes.Row) (sqltypes.Value, error)
 	// Type is the statically inferred result type.
 	Type sqltypes.Type
+
+	// col is the input column a bare column reference reads; isCol is
+	// false for every other expression.
+	col   int
+	isCol bool
 }
+
+// Column reports the input column the expression reads when it is a
+// bare column reference. Hash joins key such expressions straight off
+// the row, and cache builds over them by column ordinal.
+func (c *Compiled) Column() (int, bool) { return c.col, c.isCol }
 
 // Compile binds an expression to the environment.
 func Compile(e ast.Expr, env *Env) (*Compiled, error) {
@@ -113,7 +123,9 @@ func Compile(e ast.Expr, env *Env) (*Compiled, error) {
 				}
 				return row[idx], nil
 			},
-			Type: b.Type,
+			Type:  b.Type,
+			col:   idx,
+			isCol: true,
 		}, nil
 
 	case *ast.BinaryExpr:

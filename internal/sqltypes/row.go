@@ -102,8 +102,8 @@ func (s Schema) String() string {
 }
 
 // RowKey builds a composite map key from the given column positions of a
-// row. It is the common key-construction path for hash joins, grouping
-// and the merge step.
+// row. It is the common key-construction path for grouping and the
+// merge step.
 func RowKey(r Row, cols []int) CompositeKey {
 	switch len(cols) {
 	case 0:
@@ -115,27 +115,52 @@ func RowKey(r Row, cols []int) CompositeKey {
 	case 3:
 		return CompositeKey{K1: r[cols[0]].Key(), K2: r[cols[1]].Key(), K3: r[cols[2]].Key(), N: 3}
 	}
-	// Wide keys fall back to a string encoding.
-	var b strings.Builder
-	hasNull := false
+	var w wideKey
 	for _, c := range cols {
-		k := r[c].Key()
-		if k.IsNull() {
-			hasNull = true
-		}
-		encodeKey(&b, k)
-		b.WriteByte(0)
+		w.add(r[c].Key())
 	}
-	return CompositeKey{Wide: b.String(), N: len(cols), wideNull: hasNull}
+	return w.key(len(cols))
 }
 
-// ValuesKey builds a composite key from a full row (all columns).
+// ValuesKey builds a composite key from a full row (all columns). Keys
+// of up to three values are built in place, without allocating; hash
+// joins evaluate their key expressions into a fixed array and key it
+// through here.
 func ValuesKey(r Row) CompositeKey {
-	cols := make([]int, len(r))
-	for i := range cols {
-		cols[i] = i
+	switch len(r) {
+	case 0:
+		return CompositeKey{}
+	case 1:
+		return CompositeKey{K1: r[0].Key(), N: 1}
+	case 2:
+		return CompositeKey{K1: r[0].Key(), K2: r[1].Key(), N: 2}
+	case 3:
+		return CompositeKey{K1: r[0].Key(), K2: r[1].Key(), K3: r[2].Key(), N: 3}
 	}
-	return RowKey(r, cols)
+	var w wideKey
+	for _, v := range r {
+		w.add(v.Key())
+	}
+	return w.key(len(r))
+}
+
+// wideKey accumulates the string encoding of a key wider than three
+// columns.
+type wideKey struct {
+	b       strings.Builder
+	hasNull bool
+}
+
+func (w *wideKey) add(k Key) {
+	if k.IsNull() {
+		w.hasNull = true
+	}
+	encodeKey(&w.b, k)
+	w.b.WriteByte(0)
+}
+
+func (w *wideKey) key(n int) CompositeKey {
+	return CompositeKey{Wide: w.b.String(), N: n, wideNull: w.hasNull}
 }
 
 func encodeKey(b *strings.Builder, k Key) {

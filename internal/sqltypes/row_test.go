@@ -126,3 +126,24 @@ func TestValuesKeyProperty(t *testing.T) {
 		t.Errorf("ValuesKey separation: %v", err)
 	}
 }
+
+// TestValuesKeyMatchesRowKey pins the ValuesKey fast path: for every
+// width it keys a row exactly as RowKey over all its columns does, and
+// up to three columns it allocates nothing.
+func TestValuesKeyMatchesRowKey(t *testing.T) {
+	vals := Row{NewInt(1), NewString("a"), NullValue, NewFloat(2.5), NewBool(true)}
+	for w := 0; w <= len(vals); w++ {
+		r := vals[:w]
+		cols := make([]int, w)
+		for i := range cols {
+			cols[i] = i
+		}
+		if got, want := ValuesKey(r), RowKey(r, cols); got != want {
+			t.Errorf("width %d: ValuesKey = %+v, RowKey = %+v", w, got, want)
+		}
+	}
+	r := vals[:3]
+	if allocs := testing.AllocsPerRun(100, func() { _ = ValuesKey(r) }); allocs != 0 {
+		t.Errorf("three-column ValuesKey: %.1f allocations, want 0", allocs)
+	}
+}

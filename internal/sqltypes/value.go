@@ -63,7 +63,7 @@ func ParseType(name string) (Type, error) {
 
 // Value is a single SQL datum. The zero Value is SQL NULL.
 //
-// Values are small (32 bytes) and passed by value; rows are []Value.
+// Values are small (40 bytes) and passed by value; rows are []Value.
 type Value struct {
 	// T is the runtime type tag.
 	T Type

@@ -160,3 +160,35 @@ func TestExplainShowsEffectsAndSchedule(t *testing.T) {
 		})
 	}
 }
+
+// TestParallelStepsKeepAggregateCounters pins the scheduler's counter
+// merge: a scheduled step runs on private Stats that are folded back
+// into the query's after its region, and the incremental-aggregate
+// counters must survive that fold. SSSP from the newest node of the
+// preferential-attachment graph reaches most of it, so maintenance
+// re-folds a real frontier; the scheduled run must report exactly the
+// sequential run's AggFullRows, AggInputRows and RowsAggInput.
+func TestParallelStepsKeepAggregateCounters(t *testing.T) {
+	sql := bench.SSSPQuery(300, 10)
+	seqRows, seq := incaggRun(t, dbspinner.Config{Partitions: 1}, sql)
+	parRows, par := incaggRun(t, dbspinner.Config{Partitions: 1, ParallelSteps: 4}, sql)
+	if parRows != seqRows {
+		t.Fatalf("ParallelSteps=4 diverges from the sequential run:\n got: %s\nwant: %s", parRows, seqRows)
+	}
+	if seq.AggFullRows == 0 || seq.AggInputRows == 0 || seq.RowsAggInput == 0 {
+		t.Fatalf("maintenance did not engage: AggFullRows=%d AggInputRows=%d RowsAggInput=%d",
+			seq.AggFullRows, seq.AggInputRows, seq.RowsAggInput)
+	}
+	for _, c := range []struct {
+		name     string
+		par, seq int64
+	}{
+		{"AggFullRows", par.AggFullRows, seq.AggFullRows},
+		{"AggInputRows", par.AggInputRows, seq.AggInputRows},
+		{"RowsAggInput", par.RowsAggInput, seq.RowsAggInput},
+	} {
+		if c.par != c.seq {
+			t.Errorf("%s: ParallelSteps=4 reports %d, sequential %d", c.name, c.par, c.seq)
+		}
+	}
+}
