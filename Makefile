@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race vet fmt lint fuzz-seed check bench-smoke clean
+.PHONY: all build test race vet fmt lint fuzz-seed microbench check bench-smoke clean
 
 all: build
 
@@ -42,10 +42,17 @@ lint: $(BIN)/spinlint
 fuzz-seed:
 	$(GO) test -run '^Fuzz' ./internal/parser
 
+# Run the internal/sqltypes microbenchmarks once, so they keep
+# compiling and running: BenchmarkCompositeKeyMap times the per-row key
+# build and map lookup behind grouping and hash joins. Measure with a
+# larger -benchtime.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sqltypes
+
 # The full gate CI runs: gofmt, standard vet, spinlint, build, tests,
-# the fuzz seed corpus, and the race-enabled pass over the concurrent
-# packages.
-check: fmt vet lint build test fuzz-seed race
+# the fuzz seed corpus, the microbenchmarks once, and the race-enabled
+# pass over the concurrent packages.
+check: fmt vet lint build test fuzz-seed microbench race
 
 # bench-smoke runs the full-vs-delta, full-vs-pruned and
 # sequential-vs-scheduled comparisons on small PR-VS and SSSP datasets:

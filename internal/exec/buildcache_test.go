@@ -153,11 +153,11 @@ func TestBuildCacheDropsFailedBuild(t *testing.T) {
 }
 
 // TestHashJoinProbeAllocsOnlyOutputRow guards the probe path: with a
-// single-column key, each emitted row costs exactly one allocation —
-// the output row itself. Key evaluation and the match lookup allocate
-// nothing.
+// single-column key, key evaluation and the match lookup allocate
+// nothing, and output rows are cut from a slab, so the amortized cost
+// of an emitted row is well below one allocation.
 func TestHashJoinProbeAllocsOnlyOutputRow(t *testing.T) {
-	const n = 1000
+	const n, perRun = 2000, 500
 	var probe, build []sqltypes.Row
 	for k := int64(0); k < n; k++ {
 		probe = append(probe, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewFloat(float64(k))})
@@ -177,13 +177,17 @@ func TestHashJoinProbeAllocsOnlyOutputRow(t *testing.T) {
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if r, err := op.Next(); err != nil || len(r) != 4 {
-				t.Fatalf("Next = %v, %v", r, err)
+		// AllocsPerRun makes one warm-up call and 2 measured calls:
+		// 3*perRun <= n rows.
+		allocs := testing.AllocsPerRun(2, func() {
+			for i := 0; i < perRun; i++ {
+				if r, err := op.Next(); err != nil || len(r) != 4 {
+					t.Fatalf("Next = %v, %v", r, err)
+				}
 			}
-		})
-		if allocs != 1 {
-			t.Errorf("%v probe: %.1f allocations per emitted row, want 1 (the output row)", typ, allocs)
+		}) / perRun
+		if allocs > 0.05 {
+			t.Errorf("%v probe: %.3f allocations per emitted row, want <= 0.05", typ, allocs)
 		}
 	}
 }

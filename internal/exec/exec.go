@@ -564,9 +564,12 @@ func (l *limitOp) Close() error { return l.input.Close() }
 
 // --- aggregation --------------------------------------------------------
 
+// aggState is one group: its output row, whose first columns hold the
+// group values and whose aggregate columns are filled at the end, and
+// the group's accumulators.
 type aggState struct {
-	groupVals sqltypes.Row
-	aggs      []expr.Aggregator
+	row  sqltypes.Row
+	aggs []expr.Aggregator
 }
 
 type aggOp struct {
@@ -609,6 +612,24 @@ func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelCheck
 	return op, nil
 }
 
+// newGroup starts a group with the given group values, which it
+// copies: the caller reuses its buffer for the next input row.
+func (a *aggOp) newGroup(groupVals sqltypes.Row) (*aggState, error) {
+	st := &aggState{
+		row:  make(sqltypes.Row, len(groupVals)+len(a.node.Aggs)),
+		aggs: make([]expr.Aggregator, len(a.node.Aggs)),
+	}
+	copy(st.row, groupVals)
+	for i, spec := range a.node.Aggs {
+		ag, err := expr.NewAggregator(spec.Name, spec.Star, spec.Distinct)
+		if err != nil {
+			return nil, err
+		}
+		st.aggs[i] = ag
+	}
+	return st, nil
+}
+
 func (a *aggOp) Open() error {
 	if err := a.input.Open(); err != nil {
 		return err
@@ -616,25 +637,8 @@ func (a *aggOp) Open() error {
 	defer a.input.Close()
 
 	groups := make(map[sqltypes.CompositeKey]*aggState)
-	var order []sqltypes.CompositeKey
-
-	newState := func(groupVals sqltypes.Row) (*aggState, error) {
-		st := &aggState{groupVals: groupVals}
-		for _, spec := range a.node.Aggs {
-			ag, err := expr.NewAggregator(spec.Name, spec.Star, spec.Distinct)
-			if err != nil {
-				return nil, err
-			}
-			st.aggs = append(st.aggs, ag)
-		}
-		return st, nil
-	}
-
-	allCols := make([]int, len(a.groupEx))
-	for i := range allCols {
-		allCols[i] = i
-	}
-
+	var order []*aggState
+	groupVals := make(sqltypes.Row, len(a.groupEx))
 	for {
 		r, err := a.input.Next()
 		if err != nil {
@@ -644,23 +648,19 @@ func (a *aggOp) Open() error {
 			break
 		}
 		a.stats.RowsAggInput++
-		groupVals := make(sqltypes.Row, len(a.groupEx))
 		for i, g := range a.groupEx {
-			v, err := g.Eval(r)
-			if err != nil {
+			if groupVals[i], err = g.Eval(r); err != nil {
 				return err
 			}
-			groupVals[i] = v
 		}
-		key := sqltypes.RowKey(groupVals, allCols)
+		key := sqltypes.ValuesKey(groupVals)
 		st, ok := groups[key]
 		if !ok {
-			st, err = newState(groupVals)
-			if err != nil {
+			if st, err = a.newGroup(groupVals); err != nil {
 				return err
 			}
 			groups[key] = st
-			order = append(order, key)
+			order = append(order, st)
 		}
 		for i, spec := range a.node.Aggs {
 			var v sqltypes.Value
@@ -680,23 +680,19 @@ func (a *aggOp) Open() error {
 
 	// Scalar aggregate over an empty input still yields one row.
 	if len(a.groupEx) == 0 && len(order) == 0 {
-		st, err := newState(nil)
+		st, err := a.newGroup(nil)
 		if err != nil {
 			return err
 		}
-		groups[sqltypes.CompositeKey{}] = st
-		order = append(order, sqltypes.CompositeKey{})
+		order = append(order, st)
 	}
 
-	a.out = make([]sqltypes.Row, 0, len(order))
-	for _, k := range order {
-		st := groups[k]
-		row := make(sqltypes.Row, 0, len(a.groupEx)+len(st.aggs))
-		row = append(row, st.groupVals...)
-		for _, ag := range st.aggs {
-			row = append(row, ag.Result())
+	a.out = make([]sqltypes.Row, len(order))
+	for i, st := range order {
+		for j, ag := range st.aggs {
+			st.row[len(a.groupEx)+j] = ag.Result()
 		}
-		a.out = append(a.out, row)
+		a.out[i] = st.row
 	}
 	a.stats.RowsGrouped += int64(len(a.out))
 	a.pos = 0

@@ -90,7 +90,8 @@ type hashJoinOp struct {
 	cache *BuildCache
 
 	build            *hashBuild
-	matched          []bool // full outer: build rows some probe row matched
+	slab             rowSlab // backs every emitted row
+	matched          []bool  // full outer: build rows some probe row matched
 	probe            Operator
 	probeRow         sqltypes.Row
 	matches          []int32 // build row positions of the current probe key
@@ -224,23 +225,27 @@ func evalKey(keys []*expr.Compiled, r sqltypes.Row) (sqltypes.CompositeKey, bool
 	return sqltypes.ValuesKey(vals), false, nil
 }
 
-// combined builds the output row in left-then-right column order.
+// combined builds the output row in left-then-right column order,
+// cut from the operator's slab. A nil build row null-extends the build
+// side.
 func (h *hashJoinOp) combined(probe sqltypes.Row, build sqltypes.Row) sqltypes.Row {
-	out := make(sqltypes.Row, 0, h.leftWidth+h.rightWidth)
+	bw := len(build)
+	if build == nil {
+		bw = h.rightWidth
+		if h.buildIsLeft() {
+			bw = h.leftWidth
+		}
+	}
+	out := h.slab.take(len(probe) + bw)
+	buildSide, probeSide := out[len(probe):], out[:len(probe)]
 	if h.buildIsLeft() {
-		if build == nil {
-			out = out[:h.leftWidth] // zero Values are NULL
-		} else {
-			out = append(out, build...)
-		}
-		out = append(out, probe...)
+		buildSide, probeSide = out[:bw], out[bw:]
+	}
+	copy(probeSide, probe)
+	if build == nil {
+		clear(buildSide) // zero Values are NULL
 	} else {
-		out = append(out, probe...)
-		if build == nil {
-			out = append(out, make(sqltypes.Row, h.rightWidth)...)
-		} else {
-			out = append(out, build...)
-		}
+		copy(buildSide, build)
 	}
 	return out
 }
@@ -281,6 +286,7 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 					return nil, err
 				}
 				if sqltypes.TriOf(v) != sqltypes.TriTrue {
+					h.slab.untake(out)
 					continue
 				}
 			}
@@ -335,23 +341,57 @@ func (h *hashJoinOp) Next() (sqltypes.Row, error) {
 // nullExtendBuild emits an unmatched build row (full-outer leftovers)
 // with NULLs on the probe side, in left-then-right order.
 func (h *hashJoinOp) nullExtendBuild(build sqltypes.Row) sqltypes.Row {
-	out := make(sqltypes.Row, 0, h.leftWidth+h.rightWidth)
+	pw := h.leftWidth
 	if h.buildIsLeft() {
-		out = append(out, build...)
-		out = append(out, make(sqltypes.Row, h.rightWidth)...)
+		pw = h.rightWidth
+	}
+	out := h.slab.take(len(build) + pw)
+	if h.buildIsLeft() {
+		clear(out[copy(out, build):])
 	} else {
-		out = append(out, make(sqltypes.Row, h.leftWidth)...)
-		out = append(out, build...)
+		clear(out[:pw])
+		copy(out[pw:], build)
 	}
 	return out
 }
 
 func (h *hashJoinOp) Close() error {
 	h.build = nil
+	h.slab = rowSlab{}
 	h.matched = nil
 	h.matches = nil
 	return h.probe.Close()
 }
+
+// slabRows is the number of rows of a given width one rowSlab
+// allocation holds: a join emits a row at an amortized 1/slabRows
+// allocations, and at most one partly used slab per operator outlives
+// the rows cut from it.
+const slabRows = 64
+
+// rowSlab hands out fixed-width rows cut from a shared backing array.
+// Each row is capped at its width, so appending to it copies instead of
+// overwriting its neighbour. A row keeps its whole slab reachable for as
+// long as anything retains it.
+type rowSlab struct {
+	buf  []sqltypes.Value
+	used int
+}
+
+// take returns a row of width w. Its contents are unspecified: the
+// caller overwrites every cell.
+func (s *rowSlab) take(w int) sqltypes.Row {
+	if len(s.buf)-s.used < w {
+		s.buf, s.used = make([]sqltypes.Value, slabRows*w), 0
+	}
+	r := s.buf[s.used : s.used+w : s.used+w]
+	s.used += w
+	return r
+}
+
+// untake hands back r, the row the last take returned, when the caller
+// drops it unseen; the next take reuses its cells.
+func (s *rowSlab) untake(r sqltypes.Row) { s.used -= len(r) }
 
 // nestedLoopOp implements cross joins and inner joins without
 // equi-keys. The right side is materialized; the left side streams.

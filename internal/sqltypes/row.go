@@ -1,9 +1,6 @@
 package sqltypes
 
-import (
-	"math"
-	"strings"
-)
+import "strings"
 
 // Row is a single tuple of values.
 type Row []Value
@@ -99,240 +96,4 @@ func (s Schema) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// RowKey builds a composite map key from the given column positions of a
-// row. It is the common key-construction path for grouping and the
-// merge step.
-func RowKey(r Row, cols []int) CompositeKey {
-	switch len(cols) {
-	case 0:
-		return CompositeKey{}
-	case 1:
-		return CompositeKey{K1: r[cols[0]].Key(), N: 1}
-	case 2:
-		return CompositeKey{K1: r[cols[0]].Key(), K2: r[cols[1]].Key(), N: 2}
-	case 3:
-		return CompositeKey{K1: r[cols[0]].Key(), K2: r[cols[1]].Key(), K3: r[cols[2]].Key(), N: 3}
-	}
-	var w wideKey
-	for _, c := range cols {
-		w.add(r[c].Key())
-	}
-	return w.key(len(cols))
-}
-
-// ValuesKey builds a composite key from a full row (all columns). Keys
-// of up to three values are built in place, without allocating; hash
-// joins evaluate their key expressions into a fixed array and key it
-// through here.
-func ValuesKey(r Row) CompositeKey {
-	switch len(r) {
-	case 0:
-		return CompositeKey{}
-	case 1:
-		return CompositeKey{K1: r[0].Key(), N: 1}
-	case 2:
-		return CompositeKey{K1: r[0].Key(), K2: r[1].Key(), N: 2}
-	case 3:
-		return CompositeKey{K1: r[0].Key(), K2: r[1].Key(), K3: r[2].Key(), N: 3}
-	}
-	var w wideKey
-	for _, v := range r {
-		w.add(v.Key())
-	}
-	return w.key(len(r))
-}
-
-// wideKey accumulates the string encoding of a key wider than three
-// columns.
-type wideKey struct {
-	b       strings.Builder
-	hasNull bool
-}
-
-func (w *wideKey) add(k Key) {
-	if k.IsNull() {
-		w.hasNull = true
-	}
-	encodeKey(&w.b, k)
-	w.b.WriteByte(0)
-}
-
-func (w *wideKey) key(n int) CompositeKey {
-	return CompositeKey{Wide: w.b.String(), N: n, wideNull: w.hasNull}
-}
-
-func encodeKey(b *strings.Builder, k Key) {
-	switch k.k {
-	case keyNull:
-		b.WriteByte('n')
-	case keyBool:
-		b.WriteByte('b')
-		if k.i != 0 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	case keyNum:
-		b.WriteByte('f')
-		// Fixed-width binary encoding of the float bits.
-		bits := floatBits(k.f)
-		for i := 0; i < 8; i++ {
-			b.WriteByte(byte(bits >> (8 * i)))
-		}
-	case keyStr:
-		b.WriteByte('s')
-		b.WriteString(k.s)
-	}
-}
-
-func floatBits(f float64) uint64 {
-	// Normalize -0 to +0 so they hash identically.
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f)
-}
-
-// CompositeKey is a comparable key over up to three columns, with a
-// string fallback for wider keys. The zero CompositeKey is the empty
-// (zero-column) key.
-type CompositeKey struct {
-	K1, K2, K3 Key
-	Wide       string
-	N          int
-	wideNull   bool
-}
-
-// Hash returns a 64-bit hash of the key, used by the MPP layer to
-// route rows to partitions. Equal keys hash equally.
-func (k CompositeKey) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	mix64 := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
-		}
-	}
-	mixKey := func(kk Key) {
-		mix(byte(kk.k))
-		switch kk.k {
-		case keyBool:
-			mix(byte(kk.i))
-		case keyNum:
-			f := kk.f
-			if f == 0 {
-				f = 0 // normalize -0 so it hashes like +0 (== treats them equal)
-			}
-			mix64(math.Float64bits(f))
-		case keyStr:
-			for i := 0; i < len(kk.s); i++ {
-				mix(kk.s[i])
-			}
-		}
-	}
-	if k.Wide != "" {
-		for i := 0; i < len(k.Wide); i++ {
-			mix(k.Wide[i])
-		}
-		return h
-	}
-	if k.N >= 1 {
-		mixKey(k.K1)
-	}
-	if k.N >= 2 {
-		mixKey(k.K2)
-	}
-	if k.N >= 3 {
-		mixKey(k.K3)
-	}
-	return h
-}
-
-// Partition is THE routing function of the simulated MPP engine: it
-// maps a key to the partition that owns rows with that key, and every
-// layer that places rows — storage inserts on a table's DistCol, the
-// MPP shuffle exchange, the full-row distinct exchange — must agree on
-// it, because the static partition-property analysis
-// (internal/distprop) licenses shuffle elision exactly on the claim
-// "rows keyed k already live in partition k.Partition(parts)".
-//
-// Contract:
-//   - parts <= 1: everything is partition 0.
-//   - any NULL component: partition 0 (NULL never matches in SQL
-//     equality, so co-locating all NULLs is always safe and keeps the
-//     routing total).
-//   - a single non-NULL component: the legacy scalar FNV-1a hash
-//     (untagged, numeric values via their float bits so 1 and 1.0
-//     co-locate) — the same function storage has always used for
-//     DistCol inserts, so base-table layouts are unchanged.
-//   - wider keys: the composite Hash().
-func (k CompositeKey) Partition(parts int) int {
-	if parts <= 1 {
-		return 0
-	}
-	if k.HasNull() {
-		return 0
-	}
-	if k.N == 1 && k.Wide == "" {
-		return int(k.K1.partitionHash() % uint64(parts))
-	}
-	return int(k.Hash() % uint64(parts))
-}
-
-// partitionHash is the single-value routing hash: FNV-1a over the
-// normalized scalar without a type tag, matching the historical
-// storage-layer hash so existing base-table layouts are preserved.
-// Callers must not pass a NULL key (Partition routes those to 0 before
-// hashing).
-func (k Key) partitionHash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	switch k.k {
-	case keyNum:
-		u := floatBits(k.f)
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
-		}
-	case keyStr:
-		for i := 0; i < len(k.s); i++ {
-			mix(k.s[i])
-		}
-	case keyBool:
-		mix(byte(k.i))
-	}
-	return h
-}
-
-// HasNull reports whether any component of the key is NULL; hash joins
-// use this to skip NULL keys (NULL never matches in SQL equality).
-func (k CompositeKey) HasNull() bool {
-	if k.Wide != "" {
-		return k.wideNull
-	}
-	if k.N >= 1 && k.K1.IsNull() {
-		return true
-	}
-	if k.N >= 2 && k.K2.IsNull() {
-		return true
-	}
-	if k.N >= 3 && k.K3.IsNull() {
-		return true
-	}
-	return false
 }

@@ -214,47 +214,6 @@ func Equal(a, b Value) (eq, ok bool) {
 	return Compare(a, b) == 0, true
 }
 
-// Key returns a normalized representation usable as a Go map key for
-// grouping and hash joins. Int and Float values that represent the same
-// number map to the same key, mirroring SQL join semantics where
-// 1 = 1.0.
-func (v Value) Key() Key {
-	switch v.T {
-	case Null, Unknown:
-		return Key{k: keyNull}
-	case Bool:
-		return Key{k: keyBool, i: v.I}
-	case Int:
-		return Key{k: keyNum, f: float64(v.I)}
-	case Float:
-		return Key{k: keyNum, f: v.F}
-	case String:
-		return Key{k: keyStr, s: v.S}
-	}
-	return Key{k: keyNull}
-}
-
-// Key is a comparable normalization of a Value, used as (part of) map
-// keys in hash aggregation and hash joins.
-type Key struct {
-	k keyKind
-	i int64
-	f float64
-	s string
-}
-
-type keyKind uint8
-
-const (
-	keyNull keyKind = iota
-	keyBool
-	keyNum
-	keyStr
-)
-
-// IsNull reports whether the key came from a NULL value.
-func (k Key) IsNull() bool { return k.k == keyNull }
-
 // Cast converts v to the target type using SQL CAST rules.
 func Cast(v Value, to Type) (Value, error) {
 	if v.IsNull() {

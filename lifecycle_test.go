@@ -15,6 +15,7 @@ import (
 	"regexp"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,19 +196,68 @@ func TestPreCanceledContext(t *testing.T) {
 	}
 }
 
+// pollGate is a query context that counts the engine's cancellation
+// polls, the Err calls that reach it from step checkpoints, partition
+// batches and scan strides, and cancels itself at the limit-th poll;
+// limit 0 never cancels.
+type pollGate struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int64
+	limit  int64
+}
+
+func (g *pollGate) Err() error {
+	if n := g.polls.Add(1); g.limit > 0 && n >= g.limit {
+		g.cancel()
+	}
+	return g.Context.Err()
+}
+
+func newPollGate(limit int64) *pollGate {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollGate{Context: ctx, cancel: cancel, limit: limit}
+}
+
+// afterFirstIteration returns a context that cancels an unbounded
+// query just after its first iteration, without reading the clock.
+// It counts the polls a fresh engine makes running oneIter, the same
+// query stopped after one iteration. The two runs poll alike up to the
+// end of that iteration, so the unbounded run's next poll comes after
+// it.
+func afterFirstIteration(t *testing.T, parts int, cfg dbspinner.Config, oneIter string) (context.Context, context.CancelFunc) {
+	t.Helper()
+	ref := newPollGate(0)
+	defer ref.cancel()
+	if _, err := lifecycleEngine(t, parts, cfg).QueryContext(ref, oneIter); err != nil {
+		t.Fatalf("one-iteration reference run: %v", err)
+	}
+	g := newPollGate(ref.polls.Load() + 1)
+	return g, g.cancel
+}
+
+// requireIterationDone fails unless the cancellation err reports at
+// least one completed iteration.
+func requireIterationDone(t *testing.T, err error) {
+	t.Helper()
+	var le *dbspinner.QueryLifecycleError
+	if !errors.As(err, &le) || le.Iteration < 1 {
+		t.Fatalf("err = %v: want a cancellation after the first iteration", err)
+	}
+}
+
 // TestStatsSurviveFailure: a canceled statement still publishes the
 // work it did — Stats must not be zeroed by the error path.
 func TestStatsSurviveFailure(t *testing.T) {
-	e := lifecycleEngine(t, 4, dbspinner.Config{Parallel: true})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	cfg := dbspinner.Config{Parallel: true}
+	ctx, cancel := afterFirstIteration(t, 4, cfg, bench.PRQuery(1))
+	defer cancel()
+	e := lifecycleEngine(t, 4, cfg)
 	_, err := e.QueryContext(ctx, bench.PRQuery(100000))
 	if !errors.Is(err, dbspinner.ErrQueryCanceled) {
 		t.Fatalf("err = %v, want ErrQueryCanceled", err)
 	}
+	requireIterationDone(t, err)
 	if s := e.Stats(); s.Iterations == 0 {
 		t.Fatalf("stats lost on failure: %+v", s)
 	}
@@ -273,22 +323,21 @@ func TestCancelLeavesNoAccumulatorState(t *testing.T) {
 		name      string
 		unbounded string
 		bounded   string
+		oneIter   string
 	}{
-		{"PR", bench.PRQuery(100000), bench.PRQuery(10)},
-		{"SSSP", bench.SSSPQuery(1, 100000), bench.SSSPQuery(1, 10)},
+		{"PR", bench.PRQuery(100000), bench.PRQuery(10), bench.PRQuery(1)},
+		{"SSSP", bench.SSSPQuery(1, 100000), bench.SSSPQuery(1, 10), bench.SSSPQuery(1, 1)},
 	} {
 		t.Run(q.name, func(t *testing.T) {
 			cfg := dbspinner.Config{CheckIncrementalAgg: true}
+			ctx, cancel := afterFirstIteration(t, 1, cfg, q.oneIter)
+			defer cancel()
 			e := lifecycleEngine(t, 1, cfg)
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(20 * time.Millisecond)
-				cancel()
-			}()
 			_, err := e.QueryContext(ctx, q.unbounded)
 			if !errors.Is(err, dbspinner.ErrQueryCanceled) {
 				t.Fatalf("err = %v, want ErrQueryCanceled", err)
 			}
+			requireIterationDone(t, err)
 			// The canceled run must have exercised maintenance, or the
 			// leak check below is vacuous.
 			if e.Stats().AggFullRows == 0 {
