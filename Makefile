@@ -42,12 +42,13 @@ lint: $(BIN)/spinlint
 fuzz-seed:
 	$(GO) test -run '^Fuzz' ./internal/parser
 
-# Run the internal/sqltypes microbenchmarks once, so they keep
-# compiling and running: BenchmarkCompositeKeyMap times the per-row key
-# build and map lookup behind grouping and hash joins. Measure with a
-# larger -benchtime.
+# Run the internal/sqltypes and internal/exec microbenchmarks once, so
+# they keep compiling and running: BenchmarkCompositeKeyMap times the
+# per-row key build and map lookup behind grouping and hash joins, and
+# BenchmarkJoinAggregate two hash joins feeding a grouped SUM, the
+# shape of a PageRank iteration. Measure with a larger -benchtime.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sqltypes
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sqltypes ./internal/exec
 
 # The full gate CI runs: gofmt, standard vet, spinlint, build, tests,
 # the fuzz seed corpus, the microbenchmarks once, and the race-enabled

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dbspinner"
+	"dbspinner/internal/workload"
 )
 
 // tiny returns a config small enough for unit tests.
@@ -248,6 +251,23 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Preset != "dblp-small" || c.Iterations != 10 || c.Reps != 3 || c.Partitions != 4 || c.AvailFrac != 0.8 {
 		t.Errorf("defaults = %+v", c)
+	}
+}
+
+// TestNewEngineAppliesDefaults: an engine built from a bare Config
+// marks the default fraction of nodes available, so PR-VS updates rows
+// instead of joining against an all-unavailable vertexStatus.
+func TestNewEngineAppliesDefaults(t *testing.T) {
+	g := workload.Uniform(200, 1000, workload.WeightOutDegree, 3)
+	e, err := NewEngine(g, Config{}, dbspinner.Config{Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(PRVSQuery(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().UpdatedRows; got == 0 {
+		t.Error("PR-VS on a bare Config updated no rows")
 	}
 }
 

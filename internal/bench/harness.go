@@ -128,8 +128,10 @@ func dataset(cfg Config) (*workload.Graph, error) {
 }
 
 // NewEngine builds an engine loaded with the dataset's edges and
-// vertexStatus tables.
+// vertexStatus tables. Unset Config fields take their defaults, so a
+// bare Config marks AvailFrac of the nodes available, not none.
 func NewEngine(g *workload.Graph, cfg Config, engineCfg dbspinner.Config) (*dbspinner.Engine, error) {
+	cfg = cfg.withDefaults()
 	if engineCfg.Partitions == 0 {
 		engineCfg.Partitions = cfg.Partitions
 	}

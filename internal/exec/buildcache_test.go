@@ -16,7 +16,7 @@ import (
 	"dbspinner/internal/storage"
 )
 
-func planSQL(t *testing.T, rt *StoreRuntime, sql string) plan.Node {
+func planSQL(t testing.TB, rt *StoreRuntime, sql string) plan.Node {
 	t.Helper()
 	stmt, err := parser.Parse(sql)
 	if err != nil {

@@ -50,6 +50,17 @@ type Stats struct {
 
 // Operator is a volcano-style iterator. Next returns nil at end of
 // stream.
+//
+// Row ownership: an operator's rows are owned or borrowed, as the
+// builder decides from its consumer. An owned row is the caller's to
+// keep: no operator writes to it again. A borrowed row is valid only
+// until the caller's next call to Next on the same operator, which may
+// overwrite it in place. The builder hands out borrowed rows only to
+// consumers that keep none past that call — an aggregate's input, a
+// hash join's probe input, a nested loop's left input and a project's
+// input — and passes the mode through filter, trim, union and limit.
+// Every other input, and the root of every tree Build returns, is
+// owned (DESIGN.md §5j).
 type Operator interface {
 	Open() error
 	Next() (sqltypes.Row, error)
@@ -82,33 +93,51 @@ func drainOpen(op Operator) ([]sqltypes.Row, error) {
 
 // Build compiles a logical plan into an operator tree.
 func Build(n plan.Node, rt Runtime, stats *Stats) (Operator, error) {
-	return buildWith(n, rt, stats, nil)
+	return newBuilder(rt, stats, nil).build(n, false)
 }
 
 // BuildContext compiles a plan whose scan and join inner loops poll
 // ctx at a coarse row stride, so a canceled or timed-out query stops
 // mid-scan instead of finishing the operator it is inside.
 func BuildContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) (Operator, error) {
-	return buildWith(n, rt, stats, NewCancelChecker(ctx))
+	return newBuilder(rt, stats, NewCancelChecker(ctx)).build(n, false)
 }
 
-// buildWith is the recursive compiler; cc (possibly nil) is shared by
-// every operator of the tree — execution is single-threaded.
-func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operator, error) {
+// borrowRows is a test seam: the row-ownership parity tests turn it
+// off so that every operator emits owned rows, and compare.
+var borrowRows = true
+
+// builder is the recursive plan compiler. Its cancel checker (possibly
+// nil) is shared by every operator of the tree — execution is
+// single-threaded.
+type builder struct {
+	rt    Runtime
+	stats *Stats
+	cc    *CancelChecker
+}
+
+func newBuilder(rt Runtime, stats *Stats, cc *CancelChecker) *builder {
 	if stats == nil {
 		stats = &Stats{}
 	}
+	return &builder{rt: rt, stats: stats, cc: cc}
+}
+
+// build compiles n. borrowed reports that n's consumer keeps none of
+// n's rows past its next call to Next, so n may emit borrowed rows
+// (see Operator).
+func (b *builder) build(n plan.Node, borrowed bool) (Operator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return &scanOp{name: t.Table, base: true, rt: rt, stats: stats, cancel: cc}, nil
+		return &scanOp{name: t.Table, base: true, rt: b.rt, stats: b.stats, cancel: b.cc}, nil
 	case *plan.NamedResult:
-		return &scanOp{name: t.Name, base: false, rt: rt, stats: stats, cancel: cc}, nil
+		return &scanOp{name: t.Name, base: false, rt: b.rt, stats: b.stats, cancel: b.cc}, nil
 	case *plan.OneRow:
 		return &oneRowOp{}, nil
 	case *plan.Alias:
-		return buildWith(t.Input, rt, stats, cc)
+		return b.build(t.Input, borrowed)
 	case *plan.Filter:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := b.build(t.Input, borrowed)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +147,7 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 		}
 		return &filterOp{input: in, cond: cond}, nil
 	case *plan.Project:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := b.build(t.Input, borrowRows)
 		if err != nil {
 			return nil, err
 		}
@@ -131,41 +160,41 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 			}
 			items[i] = c
 		}
-		return &projectOp{input: in, items: items}, nil
+		return &projectOp{input: in, items: items, slab: rowSlab{borrowed: borrowed}}, nil
 	case *plan.Join:
-		return buildJoin(t, rt, stats, cc)
+		return b.buildJoin(t, borrowed)
 	case *plan.Aggregate:
-		return buildAggregate(t, rt, stats, cc)
+		return b.buildAggregate(t)
 	case *plan.Union:
-		l, err := buildWith(t.Left, rt, stats, cc)
+		l, err := b.build(t.Left, borrowed)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildWith(t.Right, rt, stats, cc)
+		r, err := b.build(t.Right, borrowed)
 		if err != nil {
 			return nil, err
 		}
 		return &unionOp{left: l, right: r}, nil
 	case *plan.Distinct:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := b.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
 		return &distinctOp{input: in}, nil
 	case *plan.Sort:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := b.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
 		return &sortOp{input: in, keys: t.Keys}, nil
 	case *plan.Limit:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := b.build(t.Input, borrowed)
 		if err != nil {
 			return nil, err
 		}
 		return &limitOp{input: in, n: t.N, offset: t.Offset}, nil
 	case *plan.TopN:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := b.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +202,7 @@ func buildWith(n plan.Node, rt Runtime, stats *Stats, cc *CancelChecker) (Operat
 	case *plan.EmptyNode:
 		return emptyOp{}, nil
 	case *plan.Trim:
-		in, err := buildWith(t.Input, rt, stats, cc)
+		in, err := b.build(t.Input, borrowed)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +239,7 @@ func Run(n plan.Node, rt Runtime, stats *Stats) ([]sqltypes.Row, error) {
 // coarse row stride; a fired context surfaces as ctx.Err(). A nil ctx
 // keeps the zero-cost uncancellable path.
 func RunContext(ctx context.Context, n plan.Node, rt Runtime, stats *Stats) ([]sqltypes.Row, error) {
-	op, err := buildWith(n, rt, stats, NewCancelChecker(ctx))
+	op, err := BuildContext(ctx, n, rt, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -381,6 +410,7 @@ func (f *filterOp) Close() error { return f.input.Close() }
 type projectOp struct {
 	input Operator
 	items []*expr.Compiled
+	slab  rowSlab // backs every emitted row
 }
 
 func (p *projectOp) Open() error { return p.input.Open() }
@@ -389,7 +419,7 @@ func (p *projectOp) Next() (sqltypes.Row, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	out := make(sqltypes.Row, len(p.items))
+	out := p.slab.take(len(p.items))
 	for i, it := range p.items {
 		v, err := it.Eval(r)
 		if err != nil {
@@ -399,7 +429,10 @@ func (p *projectOp) Next() (sqltypes.Row, error) {
 	}
 	return out, nil
 }
-func (p *projectOp) Close() error { return p.input.Close() }
+func (p *projectOp) Close() error {
+	p.slab.release()
+	return p.input.Close()
+}
 
 type trimOp struct {
 	input Operator
@@ -584,13 +617,15 @@ type aggOp struct {
 	pos     int
 }
 
-func buildAggregate(t *plan.Aggregate, rt Runtime, stats *Stats, cc *CancelChecker) (Operator, error) {
-	in, err := buildWith(t.Input, rt, stats, cc)
+// buildAggregate compiles an aggregate. Its input is borrowed: group
+// values and aggregate arguments are copied out of each row.
+func (b *builder) buildAggregate(t *plan.Aggregate) (Operator, error) {
+	in, err := b.build(t.Input, borrowRows)
 	if err != nil {
 		return nil, err
 	}
 	e := planEnv(t.Input)
-	op := &aggOp{node: t, rt: rt, stats: stats, input: in}
+	op := &aggOp{node: t, rt: b.rt, stats: b.stats, input: in}
 	for _, g := range t.GroupBy {
 		c, err := expr.Compile(g, e)
 		if err != nil {

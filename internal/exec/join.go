@@ -12,41 +12,47 @@ import (
 // buildJoin compiles a join node. Equi-conjuncts of the ON condition
 // become hash keys; remaining conjuncts are evaluated as a residual
 // predicate on each candidate pair. Joins without any equi-key fall
-// back to a nested loop.
-func buildJoin(t *plan.Join, rt Runtime, stats *Stats, cc *CancelChecker) (Operator, error) {
-	left, err := buildWith(t.Left, rt, stats, cc)
-	if err != nil {
-		return nil, err
-	}
-	right, err := buildWith(t.Right, rt, stats, cc)
-	if err != nil {
-		return nil, err
-	}
-	lw, rw := len(t.Left.Columns()), len(t.Right.Columns())
-
+// back to a nested loop. The streamed side (a hash join's probe input,
+// a nested loop's left input) is borrowed: each of its rows is copied
+// into the output before the next is read. The side a join keeps — the
+// hash build, the nested loop's right input — is owned.
+func (b *builder) buildJoin(t *plan.Join, borrowed bool) (Operator, error) {
 	leftKeys, rightKeys, residual, err := JoinKeys(t)
 	if err != nil {
 		return nil, err
 	}
-
+	var hash bool
 	switch t.Type {
 	case ast.CrossJoin:
-		return &nestedLoopOp{left: left, right: right, residual: residual, stats: stats, cancel: cc}, nil
 	case ast.InnerJoin, ast.LeftJoin, ast.RightJoin, ast.FullJoin:
-		if len(leftKeys) == 0 {
-			if t.Type == ast.InnerJoin {
-				return &nestedLoopOp{left: left, right: right, residual: residual, stats: stats, cancel: cc}, nil
-			}
+		hash = len(leftKeys) > 0
+		if !hash && t.Type != ast.InnerJoin {
 			return nil, fmt.Errorf("outer join requires at least one equality condition between the two sides")
 		}
-		return &hashJoinOp{
-			typ: t.Type, left: left, right: right,
-			leftKeys: leftKeys, rightKeys: rightKeys,
-			residual: residual, leftWidth: lw, rightWidth: rw,
-			stats: stats, cancel: cc, cache: buildCacheOf(rt),
-		}, nil
+	default:
+		return nil, fmt.Errorf("unsupported join type %v", t.Type)
 	}
-	return nil, fmt.Errorf("unsupported join type %v", t.Type)
+	// Every join streams its left input except a right-outer hash join,
+	// which builds the left and streams the right.
+	streamLeft := !hash || t.Type != ast.RightJoin
+	left, err := b.build(t.Left, borrowRows && streamLeft)
+	if err != nil {
+		return nil, err
+	}
+	right, err := b.build(t.Right, borrowRows && !streamLeft)
+	if err != nil {
+		return nil, err
+	}
+	slab := rowSlab{borrowed: borrowed}
+	if !hash {
+		return &nestedLoopOp{left: left, right: right, residual: residual, stats: b.stats, cancel: b.cc, slab: slab}, nil
+	}
+	return &hashJoinOp{
+		typ: t.Type, left: left, right: right,
+		leftKeys: leftKeys, rightKeys: rightKeys,
+		residual: residual, leftWidth: len(t.Left.Columns()), rightWidth: len(t.Right.Columns()),
+		stats: b.stats, cancel: b.cc, cache: buildCacheOf(b.rt), slab: slab,
+	}, nil
 }
 
 // splitEquiKey recognizes conjuncts of the form leftExpr = rightExpr
@@ -90,7 +96,7 @@ type hashJoinOp struct {
 	cache *BuildCache
 
 	build            *hashBuild
-	slab             rowSlab // backs every emitted row
+	slab             rowSlab // backs every emitted row, borrowed or owned
 	matched          []bool  // full outer: build rows some probe row matched
 	probe            Operator
 	probeRow         sqltypes.Row
@@ -357,32 +363,43 @@ func (h *hashJoinOp) nullExtendBuild(build sqltypes.Row) sqltypes.Row {
 
 func (h *hashJoinOp) Close() error {
 	h.build = nil
-	h.slab = rowSlab{}
+	h.slab.release()
 	h.matched = nil
 	h.matches = nil
 	return h.probe.Close()
 }
 
-// slabRows is the number of rows of a given width one rowSlab
-// allocation holds: a join emits a row at an amortized 1/slabRows
-// allocations, and at most one partly used slab per operator outlives
-// the rows cut from it.
+// slabRows is the number of rows of a given width one owned rowSlab
+// allocation holds: an operator emits an owned row at an amortized
+// 1/slabRows allocations, and at most one partly used slab per operator
+// outlives the rows cut from it.
 const slabRows = 64
 
-// rowSlab hands out fixed-width rows cut from a shared backing array.
-// Each row is capped at its width, so appending to it copies instead of
-// overwriting its neighbour. A row keeps its whole slab reachable for as
-// long as anything retains it.
+// rowSlab hands out an operator's output rows. An owned slab cuts
+// fixed-width rows from a shared backing array; each row is capped at
+// its width, so appending to it copies instead of overwriting its
+// neighbour, and a row keeps its whole slab reachable for as long as
+// anything retains it. A borrowed slab hands out one reused row: each
+// take overwrites the row the previous take returned, which the
+// consumer has finished with (see Operator).
 type rowSlab struct {
-	buf  []sqltypes.Value
-	used int
+	buf      []sqltypes.Value
+	used     int
+	borrowed bool
 }
 
 // take returns a row of width w. Its contents are unspecified: the
 // caller overwrites every cell.
 func (s *rowSlab) take(w int) sqltypes.Row {
+	if s.borrowed {
+		s.used = 0
+	}
 	if len(s.buf)-s.used < w {
-		s.buf, s.used = make([]sqltypes.Value, slabRows*w), 0
+		n := w
+		if !s.borrowed {
+			n *= slabRows
+		}
+		s.buf, s.used = make([]sqltypes.Value, n), 0
 	}
 	r := s.buf[s.used : s.used+w : s.used+w]
 	s.used += w
@@ -393,6 +410,9 @@ func (s *rowSlab) take(w int) sqltypes.Row {
 // drops it unseen; the next take reuses its cells.
 func (s *rowSlab) untake(r sqltypes.Row) { s.used -= len(r) }
 
+// release drops the backing array, keeping the mode.
+func (s *rowSlab) release() { s.buf, s.used = nil, 0 }
+
 // nestedLoopOp implements cross joins and inner joins without
 // equi-keys. The right side is materialized; the left side streams.
 type nestedLoopOp struct {
@@ -400,6 +420,7 @@ type nestedLoopOp struct {
 	residual    *expr.Compiled
 	stats       *Stats
 	cancel      *CancelChecker
+	slab        rowSlab // backs every candidate pair
 
 	rightRows []sqltypes.Row
 	leftRow   sqltypes.Row
@@ -433,15 +454,15 @@ func (n *nestedLoopOp) Next() (sqltypes.Row, error) {
 			}
 			rr := n.rightRows[n.rightIdx]
 			n.rightIdx++
-			out := make(sqltypes.Row, 0, len(n.leftRow)+len(rr))
-			out = append(out, n.leftRow...)
-			out = append(out, rr...)
+			out := n.slab.take(len(n.leftRow) + len(rr))
+			copy(out[copy(out, n.leftRow):], rr)
 			if n.residual != nil {
 				v, err := n.residual.Eval(out)
 				if err != nil {
 					return nil, err
 				}
 				if sqltypes.TriOf(v) != sqltypes.TriTrue {
+					n.slab.untake(out)
 					continue
 				}
 			}
@@ -454,5 +475,6 @@ func (n *nestedLoopOp) Next() (sqltypes.Row, error) {
 
 func (n *nestedLoopOp) Close() error {
 	n.rightRows = nil
+	n.slab.release()
 	return n.left.Close()
 }

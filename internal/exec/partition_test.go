@@ -13,30 +13,7 @@ import (
 // clause for the partition-helper tests.
 func joinNode(t *testing.T, rt *StoreRuntime, sql string) *plan.Join {
 	t.Helper()
-	stmt, err := parser.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := plan.NewBuilder(rt).Build(stmt.(*ast.SelectStmt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var join *plan.Join
-	var walk func(plan.Node)
-	walk = func(n plan.Node) {
-		if j, ok := n.(*plan.Join); ok && join == nil {
-			join = j
-			return
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(node)
-	if join == nil {
-		t.Fatal("no join in plan")
-	}
-	return join
+	return firstNode(t, planSQL(t, rt, sql), isJoin).(*plan.Join)
 }
 
 func TestJoinKeysExtraction(t *testing.T) {

@@ -91,8 +91,9 @@ func (k Key) IsNull() bool { return k.kind == keyNull }
 //     allocates nothing.
 //
 // Keys wider than three columns keep the byte encoding of wideKey in s,
-// with n > 3 and bits and kinds zero. That encoding does not escape
-// NUL bytes, so wide keys whose strings contain NUL can collide.
+// with n > 3 and bits and kinds zero. That encoding escapes NUL bytes
+// inside strings, so two wide keys are equal exactly when their columns
+// are.
 type CompositeKey struct {
 	bits  [3]uint64
 	kinds [3]keyKind
@@ -154,7 +155,9 @@ func ValuesKey(r Row) CompositeKey {
 }
 
 // wideKey accumulates the string encoding of a key wider than three
-// columns: per column a kind letter, the payload, and a NUL.
+// columns: per column a kind letter, the payload, and a NUL. A STRING
+// payload escapes its NUL bytes (see writeEscaped), so the encoding is
+// injective.
 type wideKey struct {
 	b       strings.Builder
 	hasNull bool
@@ -179,9 +182,26 @@ func (w *wideKey) add(k Key) {
 		}
 	case keyStr:
 		w.b.WriteByte('s')
-		w.b.WriteString(k.s)
+		writeEscaped(&w.b, k.s)
 	}
 	w.b.WriteByte(0)
+}
+
+// writeEscaped writes s with every NUL byte doubled into NUL 0x01, so
+// a NUL inside a string never reads as the column terminator, which is
+// followed by a kind letter or nothing. Strings without NUL are written
+// as they are, keeping their encoding and routing.
+func writeEscaped(b *strings.Builder, s string) {
+	for {
+		i := strings.IndexByte(s, 0)
+		if i < 0 {
+			b.WriteString(s)
+			return
+		}
+		b.WriteString(s[:i+1])
+		b.WriteByte(1)
+		s = s[i+1:]
+	}
 }
 
 func (w *wideKey) key(n int) CompositeKey {

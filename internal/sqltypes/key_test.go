@@ -170,6 +170,14 @@ var keyDomain = []Value{
 	NewString("bc"), NewString("c"), NewString("abc"), NewString("1"),
 }
 
+// nulDomain adds strings holding NUL bytes, the wide-key encoding's
+// column terminator, to keyDomain for keys of four or more columns.
+// Adjacent columns such as ("a", "b\x00sc") and ("a\x00sb", "c") must
+// stay apart.
+var nulDomain = append(append([]Value{}, keyDomain...),
+	NewString("\x00"), NewString("\x00\x00"), NewString("\x00\x01"), NewString("s\x00"),
+	NewString("a\x00sb"), NewString("b\x00sc"), NewString("a\x00"), NewString("\x00sa"))
+
 // refKeyEqual is the key equality the fixed-width layout must
 // reproduce: values share a kind and agree on the payload that kind
 // keys on, comparing numbers as float64 (so 1 = 1.0, -0 = +0 and
@@ -201,12 +209,16 @@ func refKeyEqual(a, b Value) bool {
 // TestKeyEqualityProperty: two rows get equal ValuesKey, and equal
 // RowKey over any column list, exactly when the keyed columns are
 // pairwise equal under refKeyEqual — at every width, including wide
-// keys.
+// keys over NUL-bearing strings.
 func TestKeyEqualityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	pick := func() Value { return keyDomain[rng.Intn(len(keyDomain))] }
-	for iter := 0; iter < 20000; iter++ {
+	for iter := 0; iter < 40000; iter++ {
 		w := 1 + rng.Intn(5)
+		domain := keyDomain
+		if w > 3 {
+			domain = nulDomain
+		}
+		pick := func() Value { return domain[rng.Intn(len(domain))] }
 		a, b := make(Row, w), make(Row, w)
 		for i := range a {
 			a[i] = pick()
@@ -231,6 +243,20 @@ func TestKeyEqualityProperty(t *testing.T) {
 		if got := RowKey(a, cols) == RowKey(b, cols); got != want {
 			t.Fatalf("RowKey over %v: %v vs %v equal is %v, want %v", cols, a, b, got, want)
 		}
+	}
+}
+
+// TestWideKeyNULStrings: wide keys whose strings hold NUL keep apart
+// rows that differ only in where a NUL falls, and a string without NUL
+// keys as before.
+func TestWideKeyNULStrings(t *testing.T) {
+	a := Row{NewString("a"), NewString("b\x00sc"), NewInt(1), NewInt(2)}
+	b := Row{NewString("a\x00sb"), NewString("c"), NewInt(1), NewInt(2)}
+	if ValuesKey(a) == ValuesKey(b) || RowKey(a, []int{0, 1, 2, 3}) == RowKey(b, []int{0, 1, 2, 3}) {
+		t.Errorf("%q and %q share a wide key", a, b)
+	}
+	if ValuesKey(a) != ValuesKey(a.Clone()) {
+		t.Errorf("%q keys apart from its copy", a)
 	}
 }
 
